@@ -17,8 +17,8 @@ BENCH_TIME ?= 1s
 # The single-image decode hot path tracked across PRs.
 BENCH_PATTERN ?= BenchmarkDecodeScalar$$|BenchmarkDecodeScalarSub|BenchmarkDecodeScalarSize|BenchmarkParallelPhaseScalar|BenchmarkEntropySequential$$|BenchmarkEntropyParallelRestart$$
 
-# The batch wall-clock trajectory: the mixed-size corpus through both
-# schedulers (per-image pool vs pipelined band scheduler).
+# The batch wall-clock trajectory: the mixed-size corpus through the
+# pipelined band scheduler.
 BENCH_BATCH_OUT ?= BENCH_3.json
 BENCH_BATCH_PATTERN ?= BenchmarkBatchMixedSizes
 
@@ -62,9 +62,9 @@ bench:
 	go run ./cmd/benchjson < bench.txt > $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 
-# bench-batch records the batch scheduler's wall-clock trajectory:
-# before/after of the per-image pool vs the band scheduler on the
-# mixed-size corpus, parsed into $(BENCH_BATCH_OUT).
+# bench-batch records the band scheduler's wall-clock throughput on the
+# mixed-size corpus, parsed into $(BENCH_BATCH_OUT). BENCH_3.json holds
+# the historical comparison against the removed per-image pool.
 bench-batch:
 	go test . -run='^$$' -bench='$(BENCH_BATCH_PATTERN)' \
 		-benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) | tee bench_batch.txt
@@ -122,7 +122,7 @@ fuzz-smoke:
 	go test ./internal/transcode/ -run='^$$' -fuzz=FuzzTranscode -fuzztime=10s
 
 # conformance runs the differential harness: the generated baseline +
-# progressive corpus through all modes, both schedulers and worker
+# progressive corpus through all modes and the batch scheduler at worker
 # counts 1-8 — at full size and at every decode scale (byte-identity
 # against the scalar scaled reference) — and plane-level comparison
 # against the stdlib decoder.
@@ -134,7 +134,7 @@ conformance:
 # dropped/duplicated/renumbered restart markers, corrupted marker
 # lengths) must never panic, strict mode must keep failing exactly as
 # before, and salvage mode must hold its committed recovery floors with
-# byte-identical salvaged pixels across every mode and scheduler.
+# byte-identical salvaged pixels across every mode and worker count.
 conformance-faults:
 	go test ./internal/conformance/ -v -run 'TestFault'
 
@@ -143,7 +143,7 @@ conformance-faults:
 # quality (decoded with Go's image/jpeg on the encoder side), bit-exact
 # equality of the DC-only 1/8 fast path with the pixel round trip, and
 # byte identity of pipelined transcodes with the one-shot path across
-# schedulers × workers 1-8 × execution modes.
+# workers 1-8 × execution modes.
 conformance-transcode:
 	go test ./internal/conformance/ -v -run 'TestConformanceTranscode|TestConformanceEncoderRoundTrip'
 

@@ -513,13 +513,12 @@ func BenchmarkBatchWallClock_WorkersN(b *testing.B) { benchBatchWallClock(b, run
 
 // Mixed-size wall-clock batch: the workload the band scheduler exists
 // for. The corpus spans 0.3–4.9 MP across all three subsamplings with
-// one 5 MP straggler; under the per-image pool that straggler pins one
-// worker while the rest drain, and every concurrent decode spins up its
-// own device workers. The band scheduler overlaps entropy streams and
-// shreds every image's back phase into work-stolen MCU bands. Pixels
-// are byte-identical across schedulers (TestSchedulerIdentity...); the
-// tracked number is wall-clock throughput, recorded in BENCH_3.json by
-// `make bench-batch`.
+// one 5 MP straggler; a whole-image worker pool would leave that
+// straggler pinning one worker while the rest drain. The band scheduler
+// overlaps entropy streams and shreds every image's back phase into
+// work-stolen MCU bands. Pixels are byte-identical to per-image
+// decoding (TestSchedulerIdentity...); the tracked number is wall-clock
+// throughput, recorded in BENCH_3.json by `make bench-batch`.
 var (
 	mixedBatchOnce sync.Once
 	mixedBatchData [][]byte
@@ -559,12 +558,11 @@ func mixedBatchCorpus(b *testing.B) [][]byte {
 	return mixedBatchData
 }
 
-func benchBatchMixed(b *testing.B, sched hetjpeg.BatchScheduler) {
+func benchBatchMixed(b *testing.B) {
 	stream := mixedBatchCorpus(b)
 	opts := hetjpeg.BatchOptions{
-		Spec:      platform.GTX560(),
-		Scheduler: sched,
-		Workers:   runtime.GOMAXPROCS(0),
+		Spec:    platform.GTX560(),
+		Workers: runtime.GOMAXPROCS(0),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -585,10 +583,8 @@ func benchBatchMixed(b *testing.B, sched hetjpeg.BatchScheduler) {
 	b.ReportMetric(mixedBatchPix*float64(b.N)/secs, "MPpx/s")
 }
 
-func BenchmarkBatchMixedSizes(b *testing.B) {
-	b.Run("perimage", func(b *testing.B) { benchBatchMixed(b, hetjpeg.SchedulerPerImage) })
-	b.Run("bands", func(b *testing.B) { benchBatchMixed(b, hetjpeg.SchedulerBands) })
-}
+// The "bands" row name matches the BENCH_3.json history.
+func BenchmarkBatchMixedSizes(b *testing.B) { b.Run("bands", benchBatchMixed) }
 
 // benchBatchMixedScaled runs the mixed-size corpus through the band
 // scheduler at a decode scale — the gallery thumbnailing workload. The

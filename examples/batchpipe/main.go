@@ -7,8 +7,7 @@
 // scheduler entropy-decodes several images in flight while a shared
 // work-stealing pool executes MCU-band back-phase tasks from all of
 // them. This example measures the virtual cross-image overlap and the
-// wall-clock shape of three engines: a serial loop, the whole-image
-// worker pool, and the pipelined band scheduler.
+// band scheduler's wall clock at one worker against the full pool.
 package main
 
 import (
@@ -48,31 +47,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Serial wall-clock reference: one whole-image worker.
+	// Serial wall-clock reference: the band scheduler with one worker.
 	t0 := time.Now()
-	serial, err := hetjpeg.DecodeBatch(stream, hetjpeg.BatchOptions{
-		Spec: spec, Model: model, Workers: 1, Scheduler: hetjpeg.SchedulerPerImage,
-	})
+	serial, err := hetjpeg.DecodeBatch(stream, hetjpeg.BatchOptions{Spec: spec, Model: model, Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	serialWall := time.Since(t0)
 	for _, ir := range serial.Images {
-		if ir.Err == nil {
-			ir.Res.Release()
-		}
-	}
-
-	// The whole-image worker pool at full width.
-	t0 = time.Now()
-	pool, err := hetjpeg.DecodeBatch(stream, hetjpeg.BatchOptions{
-		Spec: spec, Model: model, Workers: *workers, Scheduler: hetjpeg.SchedulerPerImage,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	poolWall := time.Since(t0)
-	for _, ir := range pool.Images {
 		if ir.Err == nil {
 			ir.Res.Release()
 		}
@@ -110,7 +92,7 @@ func main() {
 			ir.Index, ir.Res.Image.W, ir.Res.Image.H, ir.Res.TotalNs/1e6,
 			st.GPUMCURows, st.CPUMCURows)
 		// The per-image report is done; recycle the pooled buffers like
-		// the two per-image-pool runs above do.
+		// the serial run above does.
 		ir.Res.Release()
 	}
 
@@ -120,9 +102,7 @@ func main() {
 	fmt.Printf("  batch pipelining gain: %.3fx\n", serial.Gain())
 
 	fmt.Printf("\nwall clock (this host):\n")
-	fmt.Printf("  serial (1 worker):          %8.2f ms\n", float64(serialWall.Microseconds())/1000)
-	fmt.Printf("  per-image pool (%d workers): %8.2f ms  (%.2fx)\n",
-		*workers, float64(poolWall.Microseconds())/1000, float64(serialWall)/float64(poolWall))
+	fmt.Printf("  band scheduler (1 worker):   %8.2f ms\n", float64(serialWall.Microseconds())/1000)
 	fmt.Printf("  band scheduler (%d workers): %8.2f ms  (%.2fx)\n",
 		*workers, float64(bandWall.Microseconds())/1000, float64(serialWall)/float64(bandWall))
 }

@@ -1,38 +1,63 @@
 package main
 
-// End-to-end check of the sentinel → HTTP status mapping: the decode
-// handlers rely on errors.Is(err, hetjpeg.ErrUnsupported) surviving
-// every wrap between jpegcodec and this layer. If any layer
-// re-stringified the error (the bug class errwrapcheck guards), the
-// 12-bit upload below would come back 422 instead of 415.
+// End-to-end checks of the decode service as an application mounts it:
+// every request goes through the /img/ prefix, so a route or status
+// that the prefix mount broke shows up here. The 12-bit upload also
+// proves errors.Is(err, hetjpeg.ErrUnsupported) survives every wrap
+// between jpegcodec and the HTTP layer: a re-stringified error would
+// come back 422 instead of 415.
 
 import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"hetjpeg"
+	"hetjpeg/internal/imaged"
 )
 
-func testServer(t *testing.T) *httptest.Server {
+type reply struct {
+	Width         int    `json:"width"`
+	Height        int    `json:"height"`
+	Error         string `json:"error"`
+	Unsupported   bool   `json:"unsupported"`
+	Salvaged      bool   `json:"salvaged"`
+	RecoveredMCUs int    `json:"recoveredMcus"`
+	TotalMCUs     int    `json:"totalMcus"`
+	SalvageError  string `json:"salvageError"`
+}
+
+type batchReply struct {
+	OK       int `json:"ok"`
+	Salvaged int `json:"salvaged"`
+	Errors   int `json:"errors"`
+	Items    []struct {
+		Status int `json:"status"`
+		reply
+	} `json:"items"`
+}
+
+// testServer serves the example mux over a service with cfg's knobs on
+// top of the GTX 560 platform and two workers.
+func testServer(t *testing.T, cfg imaged.Config) *httptest.Server {
 	t.Helper()
-	spec := hetjpeg.PlatformByName("GTX 560")
-	if spec == nil {
+	cfg.Spec = hetjpeg.PlatformByName("GTX 560")
+	if cfg.Spec == nil {
 		t.Fatal("platform GTX 560 missing")
 	}
-	// No trained model: the tests pass ?mode=pipeline explicitly, which
-	// does not consult one.
-	s := &server{spec: spec, model: nil, workers: 2}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/decode", s.decode)
-	mux.HandleFunc("/batch", s.batch)
-	mux.HandleFunc("/platforms", s.platforms)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	cfg.Workers = 2
+	cfg.Log = log.New(io.Discard, "", 0)
+	s, err := imaged.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newMux(s))
+	t.Cleanup(func() { ts.Close(); s.Close() })
 	return ts
 }
 
@@ -64,151 +89,6 @@ func unsupportedJPEG(t *testing.T) []byte {
 	return data
 }
 
-func postDecode(t *testing.T, ts *httptest.Server, query string, body []byte) (int, decodeReply) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/decode?"+query, "image/jpeg", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reply decodeReply
-	if resp.Header.Get("Content-Type") == "application/json" {
-		if err := json.Unmarshal(raw, &reply); err != nil {
-			t.Fatalf("bad JSON reply: %v\n%s", err, raw)
-		}
-	}
-	return resp.StatusCode, reply
-}
-
-func TestDecodeEndpointOK(t *testing.T) {
-	ts := testServer(t)
-	status, reply := postDecode(t, ts, "mode=pipeline&scale=1/2", encodeJPEG(t, 64, 48))
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (error: %s)", status, reply.Error)
-	}
-	if reply.Width != 32 || reply.Height != 24 {
-		t.Errorf("scaled decode %dx%d, want 32x24", reply.Width, reply.Height)
-	}
-}
-
-func TestDecodeEndpointUnsupportedIs415(t *testing.T) {
-	ts := testServer(t)
-	status, reply := postDecode(t, ts, "mode=pipeline", unsupportedJPEG(t))
-	if status != http.StatusUnsupportedMediaType {
-		t.Fatalf("status = %d, want 415; reply %+v", status, reply)
-	}
-	if !reply.Unsupported {
-		t.Error("reply.Unsupported = false: errors.Is lost the sentinel between jpegcodec and the handler")
-	}
-}
-
-func TestDecodeEndpointCorruptIs422(t *testing.T) {
-	ts := testServer(t)
-	// Real SOI magic, then a truncated stream: corruption, not a wrong
-	// file type.
-	data := encodeJPEG(t, 64, 48)
-	status, reply := postDecode(t, ts, "mode=pipeline", data[:len(data)/2])
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422; reply %+v", status, reply)
-	}
-	if reply.Unsupported {
-		t.Error("corruption misclassified as unsupported feature")
-	}
-}
-
-// TestDecodeEndpointNonJPEGIs415 posts bodies that are not JPEG at all:
-// the handler must refuse them from the first two bytes with a JSON 415
-// — it must not buffer megabytes of PNG first.
-func TestDecodeEndpointNonJPEGIs415(t *testing.T) {
-	ts := testServer(t)
-	for name, body := range map[string][]byte{
-		"png":   []byte("\x89PNG\r\n\x1a\nxxxxxxxx"),
-		"text":  []byte("not a jpeg at all"),
-		"empty": nil,
-	} {
-		status, reply := postDecode(t, ts, "mode=pipeline", body)
-		if status != http.StatusUnsupportedMediaType {
-			t.Errorf("%s body: status = %d, want 415", name, status)
-		}
-		if reply.Error == "" {
-			t.Errorf("%s body: 415 reply has no JSON error", name)
-		}
-	}
-}
-
-// TestDecodeEndpointOversizedIs413JSON drops the body cap to 1 KiB and
-// posts a larger JPEG: the MaxBytesReader trip must surface as 413 with
-// the JSON error contract, not a bare-text 400.
-func TestDecodeEndpointOversizedIs413JSON(t *testing.T) {
-	spec := hetjpeg.PlatformByName("GTX 560")
-	if spec == nil {
-		t.Fatal("platform GTX 560 missing")
-	}
-	s := &server{spec: spec, workers: 2, maxBody: 1 << 10}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/decode", s.decode)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	status, reply := postDecode(t, ts, "mode=pipeline", encodeJPEG(t, 256, 256))
-	if status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413; reply %+v", status, reply)
-	}
-	if reply.Error == "" {
-		t.Error("413 reply has no JSON error body")
-	}
-}
-
-func TestDecodeEndpointBadScaleIs400(t *testing.T) {
-	ts := testServer(t)
-	status, _ := postDecode(t, ts, "mode=pipeline&scale=1/3", encodeJPEG(t, 64, 48))
-	if status != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", status)
-	}
-}
-
-func TestBatchEndpointIsolatesUnsupportedImage(t *testing.T) {
-	ts := testServer(t)
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	for i, data := range [][]byte{encodeJPEG(t, 64, 48), unsupportedJPEG(t)} {
-		fw, err := mw.CreateFormFile("img", []string{"good.jpg", "bad.jpg"}[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fw.Write(data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mw.Close()
-
-	resp, err := http.Post(ts.URL+"/batch?mode=pipeline", mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, want 200\n%s", resp.StatusCode, raw)
-	}
-	var reply batchReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Failed != 1 || len(reply.Images) != 2 {
-		t.Fatalf("failed=%d images=%d, want 1 failure of 2", reply.Failed, len(reply.Images))
-	}
-	if reply.Images[0].Error != "" {
-		t.Errorf("good image failed: %s", reply.Images[0].Error)
-	}
-	if !reply.Images[1].Unsupported {
-		t.Error("images[1].Unsupported = false: the sentinel did not survive the batch layer")
-	}
-}
-
 // salvageableJPEG truncates a restart-marker stream inside its entropy
 // data: strict decoding fails, salvage recovers a partial image.
 func salvageableJPEG(t *testing.T) []byte {
@@ -228,58 +108,41 @@ func salvageableJPEG(t *testing.T) []byte {
 	return data[:len(data)*3/4]
 }
 
-// TestDecodeEndpointSalvageIs200 checks the salvage status mapping:
-// without ?salvage the corrupt upload is 422; with it the same bytes
-// come back 200 with the X-Hetjpeg-Salvaged header and the salvage
-// accounting in the body.
-func TestDecodeEndpointSalvageIs200(t *testing.T) {
-	ts := testServer(t)
-	data := salvageableJPEG(t)
-
-	status, reply := postDecode(t, ts, "mode=pipeline", data)
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("strict status = %d, want 422; reply %+v", status, reply)
-	}
-	if reply.Salvaged {
-		t.Error("strict reply claims salvage")
-	}
-
-	resp, err := http.Post(ts.URL+"/decode?mode=pipeline&salvage=1", "image/jpeg", bytes.NewReader(data))
+// post sends body to path and decodes a JSON reply into out (when the
+// reply is JSON); it returns the response for its status and headers.
+func post(t *testing.T, ts *httptest.Server, path, contentType string, body []byte, out any) *http.Response {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("salvage status = %d, want 200\n%s", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("X-Hetjpeg-Salvaged") != "true" {
-		t.Error("X-Hetjpeg-Salvaged header missing on a salvaged decode")
-	}
-	var sreply decodeReply
-	if err := json.NewDecoder(resp.Body).Decode(&sreply); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !sreply.Salvaged || sreply.SalvageError == "" {
-		t.Fatalf("salvage reply %+v: want Salvaged with SalvageError", sreply)
+	if resp.Header.Get("Content-Type") == "application/json" {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("bad JSON reply: %v\n%s", err, raw)
+		}
 	}
-	if sreply.Width != 160 || sreply.Height != 128 {
-		t.Errorf("salvaged dimensions %dx%d, want 160x128", sreply.Width, sreply.Height)
-	}
-	if sreply.RecoveredMCUs <= 0 || sreply.RecoveredMCUs >= sreply.TotalMCUs {
-		t.Errorf("recovered %d of %d MCUs, want a strict partial recovery",
-			sreply.RecoveredMCUs, sreply.TotalMCUs)
-	}
+	return resp
 }
 
-// TestBatchEndpointSalvage mixes a clean and a salvageable image
-// through /batch?salvage=1 and checks the per-image salvage fields.
-func TestBatchEndpointSalvage(t *testing.T) {
-	ts := testServer(t)
+func postDecode(t *testing.T, ts *httptest.Server, query string, body []byte) (int, reply) {
+	t.Helper()
+	var r reply
+	resp := post(t, ts, "/img/decode?"+query, "image/jpeg", body, &r)
+	return resp.StatusCode, r
+}
+
+// postBatch sends the images as one multipart /img/batch request.
+func postBatch(t *testing.T, ts *httptest.Server, images ...[]byte) batchReply {
+	t.Helper()
 	var buf bytes.Buffer
 	mw := multipart.NewWriter(&buf)
-	for i, data := range [][]byte{encodeJPEG(t, 64, 48), salvageableJPEG(t)} {
-		fw, err := mw.CreateFormFile("img", []string{"good.jpg", "hurt.jpg"}[i])
+	for _, data := range images {
+		fw, err := mw.CreateFormFile("img", "img.jpg")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,31 +151,153 @@ func TestBatchEndpointSalvage(t *testing.T) {
 		}
 	}
 	mw.Close()
-
-	resp, err := http.Post(ts.URL+"/batch?mode=pipeline&salvage=1", mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
+	var r batchReply
+	if resp := post(t, ts, "/img/batch", mw.FormDataContentType(), buf.Bytes(), &r); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d, want 200", resp.StatusCode)
 	}
-	defer resp.Body.Close()
+	if len(r.Items) != len(images) {
+		t.Fatalf("%d batch items, want %d", len(r.Items), len(images))
+	}
+	return r
+}
+
+func TestDecodeEndpointOK(t *testing.T) {
+	ts := testServer(t, imaged.Config{})
+	status, r := postDecode(t, ts, "scale=1/2", encodeJPEG(t, 64, 48))
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (error: %s)", status, r.Error)
+	}
+	if r.Width != 32 || r.Height != 24 {
+		t.Errorf("scaled decode %dx%d, want 32x24", r.Width, r.Height)
+	}
+}
+
+func TestDecodeEndpointUnsupportedIs415(t *testing.T) {
+	ts := testServer(t, imaged.Config{})
+	status, r := postDecode(t, ts, "", unsupportedJPEG(t))
+	if status != http.StatusUnsupportedMediaType {
+		t.Fatalf("status = %d, want 415; reply %+v", status, r)
+	}
+	if !r.Unsupported {
+		t.Error("reply.Unsupported = false: errors.Is lost the sentinel between jpegcodec and the handler")
+	}
+}
+
+func TestDecodeEndpointCorruptIs422(t *testing.T) {
+	ts := testServer(t, imaged.Config{})
+	// Real SOI magic, then a truncated stream: corruption, not a wrong
+	// file type.
+	data := encodeJPEG(t, 64, 48)
+	status, r := postDecode(t, ts, "", data[:len(data)/2])
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422; reply %+v", status, r)
+	}
+	if r.Unsupported {
+		t.Error("corruption misclassified as unsupported feature")
+	}
+}
+
+// TestDecodeEndpointNonJPEGIs415 posts bodies that are not JPEG at all:
+// they must be refused with a JSON 415.
+func TestDecodeEndpointNonJPEGIs415(t *testing.T) {
+	ts := testServer(t, imaged.Config{})
+	for name, body := range map[string][]byte{
+		"png":   []byte("\x89PNG\r\n\x1a\nxxxxxxxx"),
+		"text":  []byte("not a jpeg at all"),
+		"empty": nil,
+	} {
+		status, r := postDecode(t, ts, "", body)
+		if status != http.StatusUnsupportedMediaType {
+			t.Errorf("%s body: status = %d, want 415", name, status)
+		}
+		if r.Error == "" {
+			t.Errorf("%s body: 415 reply has no JSON error", name)
+		}
+	}
+}
+
+// TestDecodeEndpointOversizedIs413JSON drops the body cap to 1 KiB and
+// posts a larger JPEG: the trip must surface as 413 with the JSON error
+// contract, not a bare-text 400.
+func TestDecodeEndpointOversizedIs413JSON(t *testing.T) {
+	ts := testServer(t, imaged.Config{MaxBody: 1 << 10})
+	status, r := postDecode(t, ts, "", encodeJPEG(t, 256, 256))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413; reply %+v", status, r)
+	}
+	if r.Error == "" {
+		t.Error("413 reply has no JSON error body")
+	}
+}
+
+func TestDecodeEndpointBadScaleIs400(t *testing.T) {
+	ts := testServer(t, imaged.Config{})
+	if status, _ := postDecode(t, ts, "scale=1/3", encodeJPEG(t, 64, 48)); status != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", status)
+	}
+}
+
+func TestBatchEndpointIsolatesUnsupportedImage(t *testing.T) {
+	ts := testServer(t, imaged.Config{})
+	r := postBatch(t, ts, encodeJPEG(t, 64, 48), unsupportedJPEG(t))
+	if r.OK != 1 || r.Errors != 1 {
+		t.Fatalf("ok=%d errors=%d, want 1 success and 1 failure", r.OK, r.Errors)
+	}
+	if good := r.Items[0]; good.Status != http.StatusOK || good.Error != "" {
+		t.Errorf("good image failed: %d %s", good.Status, good.Error)
+	}
+	if bad := r.Items[1]; bad.Status != http.StatusUnsupportedMediaType || !bad.Unsupported {
+		t.Errorf("12-bit part: status %d unsupported %v, want 415 true: the sentinel did not survive the batch layer",
+			bad.Status, bad.Unsupported)
+	}
+}
+
+// TestDecodeEndpointSalvageIs200 checks the salvage status mapping: a
+// strict service answers the corrupt upload 422; a salvaging one
+// answers the same bytes 200 with the X-Hetjpeg-Salvaged header and the
+// salvage accounting in the body.
+func TestDecodeEndpointSalvageIs200(t *testing.T) {
+	data := salvageableJPEG(t)
+	status, r := postDecode(t, testServer(t, imaged.Config{}), "", data)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("strict status = %d, want 422; reply %+v", status, r)
+	}
+	if r.Salvaged {
+		t.Error("strict reply claims salvage")
+	}
+
+	var s reply
+	resp := post(t, testServer(t, imaged.Config{Salvage: true}), "/img/decode", "image/jpeg", data, &s)
 	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, want 200\n%s", resp.StatusCode, raw)
+		t.Fatalf("salvage status = %d, want 200; reply %+v", resp.StatusCode, s)
 	}
 	if resp.Header.Get("X-Hetjpeg-Salvaged") != "true" {
-		t.Error("X-Hetjpeg-Salvaged header missing on a salvaged batch")
+		t.Error("X-Hetjpeg-Salvaged header missing on a salvaged decode")
 	}
-	var reply batchReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatal(err)
+	if !s.Salvaged || s.SalvageError == "" {
+		t.Fatalf("salvage reply %+v: want Salvaged with SalvageError", s)
 	}
-	if reply.Failed != 0 || reply.Salvaged != 1 || len(reply.Images) != 2 {
-		t.Fatalf("failed=%d salvaged=%d images=%d, want 0/1/2", reply.Failed, reply.Salvaged, len(reply.Images))
+	if s.Width != 160 || s.Height != 128 {
+		t.Errorf("salvaged dimensions %dx%d, want 160x128", s.Width, s.Height)
 	}
-	if reply.Images[0].Salvaged || reply.Images[0].Error != "" {
-		t.Errorf("clean image misreported: %+v", reply.Images[0])
+	if s.RecoveredMCUs <= 0 || s.RecoveredMCUs >= s.TotalMCUs {
+		t.Errorf("recovered %d of %d MCUs, want a strict partial recovery", s.RecoveredMCUs, s.TotalMCUs)
 	}
-	hurt := reply.Images[1]
-	if !hurt.Salvaged || hurt.SalvageError == "" || hurt.Width != 160 {
+}
+
+// TestBatchEndpointSalvage mixes a clean and a salvageable image in one
+// batch to a salvaging service and checks the per-image salvage fields.
+func TestBatchEndpointSalvage(t *testing.T) {
+	ts := testServer(t, imaged.Config{Salvage: true})
+	r := postBatch(t, ts, encodeJPEG(t, 64, 48), salvageableJPEG(t))
+	if r.Errors != 0 || r.Salvaged != 1 {
+		t.Fatalf("errors=%d salvaged=%d, want 0/1", r.Errors, r.Salvaged)
+	}
+	if clean := r.Items[0]; clean.Status != http.StatusOK || clean.Salvaged || clean.Error != "" {
+		t.Errorf("clean image misreported: %+v", clean)
+	}
+	hurt := r.Items[1]
+	if hurt.Status != http.StatusOK || !hurt.Salvaged || hurt.SalvageError == "" || hurt.Width != 160 {
 		t.Errorf("salvaged image misreported: %+v", hurt)
 	}
 	if hurt.RecoveredMCUs <= 0 || hurt.RecoveredMCUs >= hurt.TotalMCUs {

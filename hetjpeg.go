@@ -75,19 +75,6 @@ func ParseMode(name string) (Mode, bool) {
 	return ModeAuto, false
 }
 
-// ParseScheduler maps a batch scheduler name ("bands", "perimage") to
-// its BatchScheduler; ok is false for unknown names. The empty string
-// parses as the default (SchedulerBands).
-func ParseScheduler(name string) (BatchScheduler, bool) {
-	switch name {
-	case "", "bands":
-		return SchedulerBands, true
-	case "perimage":
-		return SchedulerPerImage, true
-	}
-	return SchedulerBands, false
-}
-
 // Platform describes one simulated CPU-GPU machine (Table 1).
 type Platform = platform.Spec
 
@@ -276,19 +263,8 @@ func FromStdImage(src image.Image) *Image {
 }
 
 // BatchOptions configures DecodeBatch. Workers bounds wall-clock
-// concurrency (0 = GOMAXPROCS); Scheduler selects the wall-clock engine.
+// concurrency (0 = GOMAXPROCS).
 type BatchOptions = batch.Options
-
-// BatchScheduler selects the batch wall-clock engine: the pipelined
-// MCU-band work-stealing scheduler (default) or the whole-image worker
-// pool. Pixels and virtual timelines are identical across schedulers.
-type BatchScheduler = batch.Scheduler
-
-// The batch wall-clock engines.
-const (
-	SchedulerBands    = batch.SchedulerBands
-	SchedulerPerImage = batch.SchedulerPerImage
-)
 
 // BatchResult is the outcome of DecodeBatch.
 type BatchResult = batch.Result

@@ -1,17 +1,16 @@
 // Package batch extends the paper's single-image pipeline to streams of
 // images — the workload its introduction motivates (billions of photos
-// viewed through browsers and galleries). It is two schedulers in one:
+// viewed through browsers and galleries). It works on two clocks:
 //
-// In wall-clock time, a two-stage pipelined band scheduler (the
-// default, see scheduler.go) overlaps sequential entropy decoding of
-// several in-flight images with a shared work-stealing pool executing
+// In wall-clock time, a two-stage pipelined band scheduler (see
+// scheduler.go) overlaps sequential entropy decoding of several
+// in-flight images with a shared work-stealing pool executing
 // MCU-row-band back-phase tasks from all of them, with band size and
-// in-flight depth chosen by an online-calibrated performance model. The
-// PR 1 whole-image worker pool remains available as
-// SchedulerPerImage for comparison. Submit/Results give a streaming
-// interface for services; Decode is the slice-based convenience
-// wrapper. Both schedulers produce byte-identical pixels and identical
-// virtual timelines.
+// in-flight depth chosen by an online-calibrated performance model.
+// Submit/Results give a streaming interface for services; Decode is
+// the slice-based convenience wrapper. Pixels and virtual timelines are
+// identical to decoding each image alone with core.Decode, for any
+// worker count.
 //
 // In virtual time, the paper's semantics are preserved exactly: each
 // image's timeline keeps the invariant that entropy decoding is
@@ -49,22 +48,6 @@ var ErrClosed = errors.New("batch: executor closed")
 // queueing without bound. Check it with errors.Is.
 var ErrBusy = errors.New("batch: executor at capacity")
 
-// Scheduler selects the wall-clock execution engine of a batch decode.
-// Pixels and virtual timelines are identical across schedulers; only
-// host wall-clock behavior differs.
-type Scheduler int
-
-const (
-	// SchedulerBands, the default, is the two-stage pipelined engine:
-	// entropy decoding of several images in flight overlapped with a
-	// shared work-stealing pool of MCU-row-band back-phase tasks.
-	SchedulerBands Scheduler = iota
-	// SchedulerPerImage is the whole-image worker pool: each worker
-	// decodes one image end to end. Kept for comparison (a mixed-size
-	// corpus leaves workers idle behind a large straggler).
-	SchedulerPerImage
-)
-
 // Options configures a batch decode.
 type Options struct {
 	Spec  *platform.Spec
@@ -73,13 +56,10 @@ type Options struct {
 	// (core.ModeAuto) resolves to ModePPS when a model is present and
 	// ModePipelinedGPU otherwise.
 	Mode core.Mode
-	// Workers bounds the wall-clock decode parallelism (band workers,
-	// or whole-image workers under SchedulerPerImage). Zero means
-	// runtime.GOMAXPROCS(0). The virtual batch timeline is independent
-	// of Workers.
+	// Workers bounds the wall-clock decode parallelism (band workers).
+	// Zero means runtime.GOMAXPROCS(0). The virtual batch timeline is
+	// independent of Workers.
 	Workers int
-	// Scheduler selects the wall-clock engine (default SchedulerBands).
-	Scheduler Scheduler
 	// MaxInFlight caps how many images the band scheduler holds open
 	// at once (each costs whole-image coefficient + sample + RGB
 	// buffers). Zero means Workers+2. The online model chooses the
@@ -171,10 +151,9 @@ type job struct {
 }
 
 // Executor is a concurrent batch-decode service: submitted images are
-// decoded by the configured wall-clock scheduler and delivered on
-// Results in completion order. A long-running process creates one
-// Executor and feeds it requests; one-shot batches can use Decode
-// instead.
+// decoded by the band scheduler and delivered on Results in completion
+// order. A long-running process creates one Executor and feeds it
+// requests; one-shot batches can use Decode instead.
 type Executor struct {
 	opts    Options
 	jobs    chan job
@@ -192,19 +171,9 @@ type Executor struct {
 	// so abandoning Results cannot leak the worker goroutines.
 	stopc    chan struct{}
 	stopOnce sync.Once
-	// bands is the band scheduler when Options.Scheduler is
-	// SchedulerBands (nil under SchedulerPerImage); TrySubmitScaled and
-	// QueueStats consult its admission state directly.
+	// bands is the engine; TrySubmitScaled and QueueStats consult its
+	// admission state directly.
 	bands *bandScheduler
-	// devWorkers is each decode's share of the host's device-simulation
-	// budget (SchedulerPerImage only): GOMAXPROCS split evenly across
-	// the pool width, so N concurrent decodes are hard-bounded at
-	// GOMAXPROCS device goroutines total instead of N×GOMAXPROCS. The
-	// static split is deterministic (a decode's wall-clock does not
-	// depend on what else was momentarily in flight); size Workers to
-	// the expected concurrency — a lone image on a wide pool pays a
-	// 1/Workers share.
-	devWorkers int
 }
 
 // NewExecutor starts the scheduler's worker goroutines.
@@ -225,72 +194,20 @@ func NewExecutor(opts Options) (*Executor, error) {
 		results: make(chan ImageResult, n),
 		stopc:   make(chan struct{}),
 	}
-	switch opts.Scheduler {
-	case SchedulerPerImage:
-		e.devWorkers = runtime.GOMAXPROCS(0) / n
-		if e.devWorkers < 1 {
-			e.devWorkers = 1
-		}
-		e.wg.Add(n)
-		for i := 0; i < n; i++ {
-			go e.worker()
-		}
-	case SchedulerBands:
-		s := newBandScheduler(opts, n, e.results, e.stopc)
-		e.bands = s
-		e.wg.Add(n + 1)
-		go s.intake(e.jobs, &e.wg)
-		for i := 0; i < n; i++ {
-			go s.worker(i, &e.wg)
-		}
-	default:
-		return nil, fmt.Errorf("batch: unknown scheduler %d", opts.Scheduler)
+	s := newBandScheduler(opts, n, e.results, e.stopc)
+	e.bands = s
+	e.wg.Add(n + 1)
+	go s.intake(e.jobs, &e.wg)
+	for i := 0; i < n; i++ {
+		go s.worker(i, &e.wg)
 	}
 	return e, nil
 }
 
-func (e *Executor) worker() {
-	defer e.wg.Done()
-	for j := range e.jobs {
-		ir := e.decodeOne(j)
-		select {
-		case e.results <- ir:
-		case <-e.stopc:
-			// Stop: the Results reader is gone; hand the pixel and
-			// coefficient slabs back instead of blocking forever.
-			if ir.Res != nil {
-				ir.Res.Release()
-			}
-		}
-	}
-}
-
-func (e *Executor) decodeOne(j job) ImageResult {
-	if err := j.ctx.Err(); err != nil {
-		return ImageResult{Index: j.index, Err: err}
-	}
-	res, err := core.Decode(j.data, core.Options{
-		Mode:          e.opts.mode(),
-		Spec:          e.opts.Spec,
-		Model:         e.opts.Model,
-		DeviceWorkers: e.devWorkers,
-		Scale:         j.scale,
-		Salvage:       e.opts.Salvage,
-	})
-	if err != nil {
-		// A salvaged decode returns both a usable result and an error
-		// wrapping jpegcodec.ErrPartialData; pass both through.
-		return ImageResult{Index: j.index, Res: res, Err: fmt.Errorf("batch: image %d: %w", j.index, err)}
-	}
-	return ImageResult{Index: j.index, Res: res}
-}
-
 // Submit enqueues one image at the executor's configured scale. It
-// blocks while the scheduler's intake is full — the band scheduler's
-// calibrated in-flight image budget (at most Options.MaxInFlight), or,
-// under SchedulerPerImage, all workers busy with the result buffer full
-// — and returns ctx.Err() if ctx is cancelled first. Index is echoed in
-// the corresponding ImageResult.
+// blocks while the scheduler's calibrated in-flight image budget (at
+// most Options.MaxInFlight) is spent, and returns ctx.Err() if ctx is
+// cancelled first. Index is echoed in the corresponding ImageResult.
 //
 // Submit after Close (or racing it) returns ErrClosed; it never panics.
 // A Submit already blocked in the intake when Close lands completes
@@ -325,15 +242,13 @@ func (e *Executor) SubmitScaled(ctx context.Context, index int, data []byte, sca
 }
 
 // TrySubmitScaled is the non-blocking admission path: the image is
-// accepted only if the scheduler has capacity for it right now —
-// under SchedulerBands, a free slot in the calibrated in-flight budget;
-// under SchedulerPerImage, an idle worker — and otherwise the call
-// returns ErrBusy immediately without queueing. A service puts this (or
-// a bounded queue draining into Submit) in front of its request intake
-// so overload becomes explicit load shedding instead of unbounded
-// buffering. ctx is the decode's cancellation context (it is not waited
-// on here); a successful TrySubmitScaled delivers exactly one
-// ImageResult, like Submit.
+// accepted only if the calibrated in-flight budget has a free slot
+// right now, and otherwise the call returns ErrBusy immediately without
+// queueing. A service puts this (or a bounded queue draining into
+// Submit) in front of its request intake so overload becomes explicit
+// load shedding instead of unbounded buffering. ctx is the decode's
+// cancellation context (it is not waited on here); a successful
+// TrySubmitScaled delivers exactly one ImageResult, like Submit.
 func (e *Executor) TrySubmitScaled(ctx context.Context, index int, data []byte, scale jpegcodec.Scale) error {
 	if err := scale.Validate(); err != nil {
 		return fmt.Errorf("batch: %w", err)
@@ -342,19 +257,10 @@ func (e *Executor) TrySubmitScaled(ctx context.Context, index int, data []byte, 
 		return ErrClosed
 	}
 	defer e.senders.Done()
-	j := job{ctx: ctx, index: index, data: data, scale: scale}
-	if e.bands != nil {
-		if !e.bands.tryAccept(j) {
-			return ErrBusy
-		}
-		return nil
-	}
-	select {
-	case e.jobs <- j:
-		return nil
-	default:
+	if !e.bands.tryAccept(job{ctx: ctx, index: index, data: data, scale: scale}) {
 		return ErrBusy
 	}
+	return nil
 }
 
 // beginSubmit registers a submission in progress unless the executor is
@@ -374,8 +280,7 @@ func (e *Executor) beginSubmit() bool {
 // QueueStats is a point-in-time snapshot of the band scheduler's
 // occupancy and calibrated rates — what a service front end needs to
 // compute honest backpressure signals (a Retry-After from the fitted
-// ns/MCU rates, an overload watermark from InFlight vs Target). Under
-// SchedulerPerImage all fields are zero.
+// ns/MCU rates, an overload watermark from InFlight vs Target).
 type QueueStats struct {
 	// InFlight counts images between admission and result delivery.
 	InFlight int `json:"inFlight"`
@@ -400,9 +305,6 @@ type QueueStats struct {
 // advisory: it is stale the moment it returns, which is fine for load
 // shedding and Retry-After hints.
 func (e *Executor) QueueStats() QueueStats {
-	if e.bands == nil {
-		return QueueStats{}
-	}
 	return e.bands.queueStats()
 }
 

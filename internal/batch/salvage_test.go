@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -36,7 +35,7 @@ func salvageCorpusImage(t testing.TB, seed int64, ri int) (clean, hurt []byte) {
 }
 
 // TestBatchSalvageDelivery mixes clean, salvageable and fatally corrupt
-// images through both schedulers and asserts the delivery contract:
+// images through the executor and asserts the delivery contract:
 // salvaged images carry BOTH a usable Res (pixels identical to the
 // scalar salvage reference) and an Err wrapping ErrPartialData; fatal
 // images carry only Err; Result.Failed counts only the fatal ones.
@@ -51,51 +50,50 @@ func TestBatchSalvageDelivery(t *testing.T) {
 	fatal := []byte("not a jpeg at all")
 	datas := [][]byte{clean, hurt, fatal, hurt, clean}
 
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		t.Run(fmt.Sprintf("sched%d", sched), func(t *testing.T) {
-			res, err := Decode(datas, Options{Spec: spec, Scheduler: sched, Salvage: true, Workers: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Failed != 1 || res.Salvaged != 2 {
-				t.Fatalf("Failed = %d, Salvaged = %d; want 1, 2", res.Failed, res.Salvaged)
-			}
-			for i, ir := range res.Images {
-				switch i {
-				case 2: // fatal
-					if ir.Res != nil || ir.Err == nil {
-						t.Fatalf("fatal image: Res = %v, Err = %v", ir.Res, ir.Err)
-					}
-				case 1, 3: // salvaged
-					if ir.Res == nil || ir.Err == nil {
-						t.Fatalf("salvaged image %d: Res = %v, Err = %v", i, ir.Res, ir.Err)
-					}
-					if !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
-						t.Fatalf("salvaged image %d: err %v does not wrap ErrPartialData", i, ir.Err)
-					}
-					rep := ir.Res.Salvage
-					if rep == nil || rep.RecoveredMCUs != refRep.RecoveredMCUs || rep.Resyncs != refRep.Resyncs {
-						t.Fatalf("salvaged image %d: report %+v differs from reference %+v", i, rep, refRep)
-					}
-					if !bytes.Equal(ir.Res.Image.Pix, ref.Pix) {
-						t.Fatalf("salvaged image %d: pixels differ from scalar salvage reference", i)
-					}
-					ir.Res.Release()
-				default: // clean
-					if ir.Err != nil || ir.Res == nil {
-						t.Fatalf("clean image %d: Res = %v, Err = %v", i, ir.Res, ir.Err)
-					}
-					if ir.Res.Salvage != nil {
-						t.Fatalf("clean image %d carries a salvage report", i)
-					}
-					ir.Res.Release()
+	// sched0 is the band scheduler, the one batch engine.
+	t.Run("sched0", func(t *testing.T) {
+		res, err := Decode(datas, Options{Spec: spec, Salvage: true, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed != 1 || res.Salvaged != 2 {
+			t.Fatalf("Failed = %d, Salvaged = %d; want 1, 2", res.Failed, res.Salvaged)
+		}
+		for i, ir := range res.Images {
+			switch i {
+			case 2: // fatal
+				if ir.Res != nil || ir.Err == nil {
+					t.Fatalf("fatal image: Res = %v, Err = %v", ir.Res, ir.Err)
 				}
+			case 1, 3: // salvaged
+				if ir.Res == nil || ir.Err == nil {
+					t.Fatalf("salvaged image %d: Res = %v, Err = %v", i, ir.Res, ir.Err)
+				}
+				if !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
+					t.Fatalf("salvaged image %d: err %v does not wrap ErrPartialData", i, ir.Err)
+				}
+				rep := ir.Res.Salvage
+				if rep == nil || rep.RecoveredMCUs != refRep.RecoveredMCUs || rep.Resyncs != refRep.Resyncs {
+					t.Fatalf("salvaged image %d: report %+v differs from reference %+v", i, rep, refRep)
+				}
+				if !bytes.Equal(ir.Res.Image.Pix, ref.Pix) {
+					t.Fatalf("salvaged image %d: pixels differ from scalar salvage reference", i)
+				}
+				ir.Res.Release()
+			default: // clean
+				if ir.Err != nil || ir.Res == nil {
+					t.Fatalf("clean image %d: Res = %v, Err = %v", i, ir.Res, ir.Err)
+				}
+				if ir.Res.Salvage != nil {
+					t.Fatalf("clean image %d carries a salvage report", i)
+				}
+				ir.Res.Release()
 			}
-			if res.Timeline == nil || res.Timeline.Makespan() <= 0 {
-				t.Fatal("salvaged batch produced no merged timeline")
-			}
-		})
-	}
+		}
+		if res.Timeline == nil || res.Timeline.Makespan() <= 0 {
+			t.Fatal("salvaged batch produced no merged timeline")
+		}
+	})
 }
 
 // TestBatchSalvageOffUnchanged asserts that without Options.Salvage a
@@ -123,63 +121,62 @@ func TestBatchMidCancellationDeliversCompleted(t *testing.T) {
 	spec := platform.GTX560()
 	clean, hurt := salvageCorpusImage(t, 63, 4)
 	const n = 12
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		t.Run(fmt.Sprintf("sched%d", sched), func(t *testing.T) {
-			ex, err := NewExecutor(Options{Spec: spec, Scheduler: sched, Salvage: true, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
+	// sched0 is the band scheduler, the one batch engine.
+	t.Run("sched0", func(t *testing.T) {
+		ex, err := NewExecutor(Options{Spec: spec, Salvage: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		submitted := 0
+		go func() {
+			defer ex.Close()
+			for i := 0; i < n; i++ {
+				data := clean
+				if i%3 == 1 {
+					data = hurt
+				}
+				if ex.Submit(ctx, i, data) != nil {
+					return
+				}
+				submitted++
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			submitted := 0
-			go func() {
-				defer ex.Close()
-				for i := 0; i < n; i++ {
-					data := clean
-					if i%3 == 1 {
-						data = hurt
-					}
-					if ex.Submit(ctx, i, data) != nil {
-						return
-					}
-					submitted++
-				}
-			}()
-			seen := make(map[int]bool)
-			completed := 0
-			first := true
-			for ir := range ex.Results() {
-				if first {
-					cancel() // mid-flight: some images done, some not started
-					first = false
-				}
-				if seen[ir.Index] {
-					t.Fatalf("image %d delivered twice", ir.Index)
-				}
-				seen[ir.Index] = true
-				if ir.Res == nil && ir.Err == nil {
-					t.Fatalf("image %d: empty ImageResult {nil, nil}", ir.Index)
-				}
-				if ir.Res != nil {
-					completed++
-					ir.Res.Release()
-				} else if !errors.Is(ir.Err, context.Canceled) && !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
-					t.Fatalf("image %d: unexpected error %v", ir.Index, ir.Err)
-				}
+		}()
+		seen := make(map[int]bool)
+		completed := 0
+		first := true
+		for ir := range ex.Results() {
+			if first {
+				cancel() // mid-flight: some images done, some not started
+				first = false
 			}
-			if len(seen) != submitted {
-				t.Fatalf("submitted %d images, got %d results", submitted, len(seen))
+			if seen[ir.Index] {
+				t.Fatalf("image %d delivered twice", ir.Index)
 			}
-			if completed == 0 {
-				t.Fatal("cancellation swallowed every completed image")
+			seen[ir.Index] = true
+			if ir.Res == nil && ir.Err == nil {
+				t.Fatalf("image %d: empty ImageResult {nil, nil}", ir.Index)
 			}
-			t.Logf("sched%d: %d submitted, %d completed before cancellation took hold", sched, submitted, completed)
-		})
-	}
+			if ir.Res != nil {
+				completed++
+				ir.Res.Release()
+			} else if !errors.Is(ir.Err, context.Canceled) && !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
+				t.Fatalf("image %d: unexpected error %v", ir.Index, ir.Err)
+			}
+		}
+		if len(seen) != submitted {
+			t.Fatalf("submitted %d images, got %d results", submitted, len(seen))
+		}
+		if completed == 0 {
+			t.Fatal("cancellation swallowed every completed image")
+		}
+		t.Logf("%d submitted, %d completed before cancellation took hold", submitted, completed)
+	})
 }
 
 // TestBatchSalvageStress is the -race gate: many goroutines pushing a
-// mix of salvageable, fatal and clean images through both schedulers
+// mix of salvageable, fatal and clean images through the executor
 // with a mid-flight cancellation, checking only the delivery invariants
 // (every submission answered once, salvaged implies both fields, no
 // {nil,nil}) — any data race in the salvage bookkeeping shows up under
@@ -192,60 +189,58 @@ func TestBatchSalvageStress(t *testing.T) {
 	if testing.Short() {
 		n = 16
 	}
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		ex, err := NewExecutor(Options{Spec: spec, Scheduler: sched, Salvage: true, Workers: 4, MaxInFlight: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		submitted := make(map[int]bool)
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g * n; i < (g+1)*n; i++ {
-					var data []byte
-					switch i % 3 {
-					case 0:
-						data = clean
-					case 1:
-						data = hurt
-					default:
-						data = fatal
-					}
-					if ex.Submit(ctx, i, data) == nil {
-						mu.Lock()
-						submitted[i] = true
-						mu.Unlock()
-					}
+	ex, err := NewExecutor(Options{Spec: spec, Salvage: true, Workers: 4, MaxInFlight: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	submitted := make(map[int]bool)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g * n; i < (g+1)*n; i++ {
+				var data []byte
+				switch i % 3 {
+				case 0:
+					data = clean
+				case 1:
+					data = hurt
+				default:
+					data = fatal
 				}
-			}(g)
+				if ex.Submit(ctx, i, data) == nil {
+					mu.Lock()
+					submitted[i] = true
+					mu.Unlock()
+				}
+			}
+		}(g)
+	}
+	go func() {
+		wg.Wait()
+		ex.Close()
+	}()
+	got := 0
+	for ir := range ex.Results() {
+		got++
+		if ir.Res == nil && ir.Err == nil {
+			t.Fatalf("empty ImageResult for image %d", ir.Index)
 		}
-		go func() {
-			wg.Wait()
-			ex.Close()
-		}()
-		got := 0
-		for ir := range ex.Results() {
-			got++
-			if ir.Res == nil && ir.Err == nil {
-				t.Fatalf("sched%d: empty ImageResult for image %d", sched, ir.Index)
-			}
-			if ir.Res != nil && ir.Err != nil && !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
-				t.Fatalf("sched%d image %d: both fields set but err is %v", sched, ir.Index, ir.Err)
-			}
-			if got == n { // partway through: yank the context
-				cancel()
-			}
-			if ir.Res != nil {
-				ir.Res.Release()
-			}
+		if ir.Res != nil && ir.Err != nil && !errors.Is(ir.Err, jpegcodec.ErrPartialData) {
+			t.Fatalf("image %d: both fields set but err is %v", ir.Index, ir.Err)
 		}
-		cancel()
-		if got != len(submitted) {
-			t.Fatalf("sched%d: %d submissions, %d results", sched, len(submitted), got)
+		if got == n { // partway through: yank the context
+			cancel()
 		}
+		if ir.Res != nil {
+			ir.Res.Release()
+		}
+	}
+	cancel()
+	if got != len(submitted) {
+		t.Fatalf("%d submissions, %d results", len(submitted), got)
 	}
 }

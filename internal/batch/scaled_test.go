@@ -27,7 +27,7 @@ func TestInvalidScaleIsConfigError(t *testing.T) {
 }
 
 // TestMixedScaleExecutor streams the same images at different scales
-// through one executor (both schedulers) and asserts every result is
+// through one executor and asserts every result is
 // byte-identical to its scale's scalar reference — the mixed
 // thumbnail/full traffic the per-scale calibrator exists for.
 func TestMixedScaleExecutor(t *testing.T) {
@@ -53,39 +53,37 @@ func TestMixedScaleExecutor(t *testing.T) {
 			refs = append(refs, ref)
 		}
 	}
-	for _, sched := range []Scheduler{SchedulerBands, SchedulerPerImage} {
-		ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 3, Scheduler: sched})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bad per-submit scale fails fast without consuming a slot.
-		if err := ex.SubmitScaled(context.Background(), 99, subs[0].data, 7); !errors.Is(err, jpegcodec.ErrUnsupportedScale) {
-			t.Fatalf("SubmitScaled(7) err = %v", err)
-		}
-		go func() {
-			for i, s := range subs {
-				if err := ex.SubmitScaled(context.Background(), i, s.data, s.scale); err != nil {
-					t.Error(err)
-					break
-				}
+	ex, err := NewExecutor(Options{Spec: platform.GTX560(), Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bad per-submit scale fails fast without consuming a slot.
+	if err := ex.SubmitScaled(context.Background(), 99, subs[0].data, 7); !errors.Is(err, jpegcodec.ErrUnsupportedScale) {
+		t.Fatalf("SubmitScaled(7) err = %v", err)
+	}
+	go func() {
+		for i, s := range subs {
+			if err := ex.SubmitScaled(context.Background(), i, s.data, s.scale); err != nil {
+				t.Error(err)
+				break
 			}
-			ex.Close()
-		}()
-		got := make([]*ImageResult, len(subs))
-		for ir := range ex.Results() {
-			ir := ir
-			got[ir.Index] = &ir
 		}
-		for i := range subs {
-			name := fmt.Sprintf("sched%d image %d scale %v", sched, i, subs[i].scale)
-			if got[i] == nil || got[i].Err != nil {
-				t.Fatalf("%s: missing or failed: %+v", name, got[i])
-			}
-			if !bytes.Equal(got[i].Res.Image.Pix, refs[i].Pix) {
-				t.Errorf("%s: pixels differ from scalar scaled reference", name)
-			}
-			got[i].Res.Release()
+		ex.Close()
+	}()
+	got := make([]*ImageResult, len(subs))
+	for ir := range ex.Results() {
+		ir := ir
+		got[ir.Index] = &ir
+	}
+	for i := range subs {
+		name := fmt.Sprintf("image %d scale %v", i, subs[i].scale)
+		if got[i] == nil || got[i].Err != nil {
+			t.Fatalf("%s: missing or failed: %+v", name, got[i])
 		}
+		if !bytes.Equal(got[i].Res.Image.Pix, refs[i].Pix) {
+			t.Errorf("%s: pixels differ from scalar scaled reference", name)
+		}
+		got[i].Res.Release()
 	}
 	for _, r := range refs {
 		r.Release()

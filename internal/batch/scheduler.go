@@ -31,8 +31,8 @@ import (
 // entropy work naturally overlaps back-phase work across images. Real
 // pixels come from the fused scalar band pipeline (byte-identical to
 // every other execution path); each image's virtual timeline and stats
-// are built by core.Prepared.FinishVirtual exactly as the per-image
-// executor would, so the paper's virtual-time story (per-image PPS,
+// are built by core.Prepared.FinishVirtual exactly as core.Decode
+// would, so the paper's virtual-time story (per-image PPS,
 // deterministic merge) is unchanged.
 //
 // Two knobs adapt online instead of being tuned offline:
@@ -217,8 +217,7 @@ type bandTask struct {
 	band int
 }
 
-// bandScheduler is the two-stage pipelined engine behind Executor when
-// Options.Scheduler is SchedulerBands.
+// bandScheduler is the two-stage pipelined engine behind Executor.
 type bandScheduler struct {
 	opts        Options
 	workers     int
@@ -397,7 +396,7 @@ func (s *bandScheduler) entropyStage(j job) (*flightImage, float64, ImageResult)
 		return fail(err)
 	}
 	prep, err := core.Prepare(j.data, core.Options{
-		Mode:    s.opts.Mode,
+		Mode:    s.opts.mode(),
 		Spec:    s.opts.Spec,
 		Model:   s.opts.Model,
 		Scale:   j.scale,
@@ -457,7 +456,7 @@ func (s *bandScheduler) runBand(t bandTask, scratch *jpegcodec.ConvertScratch) {
 
 // complete finishes an image whose last band ran: seam rows, then
 // delivery (or buffer release on failure). A salvaged image delivers
-// with BOTH Res and Err set, matching decodeOne's contract. Called and
+// with BOTH Res and Err set (see ImageResult). Called and
 // returns with mu held.
 func (s *bandScheduler) complete(img *flightImage, scratch *jpegcodec.ConvertScratch) {
 	err := img.err

@@ -45,8 +45,27 @@ func mixedCorpus(t testing.TB) [][]byte {
 	return out
 }
 
-// The band scheduler must be indistinguishable from the per-image pool
-// in everything but wall-clock: byte-identical pixels, identical
+// serialReference decodes each image alone with core.Decode and merges
+// the per-image timelines in submission order: the oracle the band
+// scheduler must reproduce in everything but wall-clock.
+func serialReference(t *testing.T, datas [][]byte, opts core.Options) *Result {
+	t.Helper()
+	ref := &Result{Images: make([]ImageResult, len(datas))}
+	for i, data := range datas {
+		res, err := core.Decode(data, opts)
+		if err != nil {
+			t.Fatalf("%v: reference decode of image %d: %v", opts.Mode, i, err)
+		}
+		ref.Images[i] = ImageResult{Index: i, Res: res}
+		ref.SerialNs += res.TotalNs
+	}
+	ref.Timeline = MergeTimelines(ref.Images)
+	ref.PipelinedNs = ref.Timeline.Makespan()
+	return ref
+}
+
+// The band scheduler must be indistinguishable from decoding each image
+// alone in everything but wall-clock: byte-identical pixels, identical
 // virtual times and scheduling statistics — across every mode, several
 // worker counts and mixed image sizes.
 func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
@@ -59,22 +78,10 @@ func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	modes := append([]core.Mode{core.ModeAuto}, core.AllModes()...)
 	for _, mode := range modes {
-		ref, err := Decode(datas, Options{
-			Spec: spec, Model: model, Mode: mode,
-			Scheduler: SchedulerPerImage, Workers: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Failed != 0 {
-			t.Fatalf("%v: reference pool failed %d images", mode, ref.Failed)
-		}
+		ref := serialReference(t, datas, core.Options{Spec: spec, Model: model, Mode: mode})
 		for _, w := range workerCounts {
 			t.Run(fmt.Sprintf("%v/workers%d", mode, w), func(t *testing.T) {
-				got, err := Decode(datas, Options{
-					Spec: spec, Model: model, Mode: mode,
-					Scheduler: SchedulerBands, Workers: w,
-				})
+				got, err := Decode(datas, Options{Spec: spec, Model: model, Mode: mode, Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +89,7 @@ func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 					t.Fatalf("band scheduler failed %d images", got.Failed)
 				}
 				if got.SerialNs != ref.SerialNs || got.PipelinedNs != ref.PipelinedNs {
-					t.Errorf("virtual times differ: bands (%.1f, %.1f) vs pool (%.1f, %.1f)",
+					t.Errorf("virtual times differ: bands (%.1f, %.1f) vs serial (%.1f, %.1f)",
 						got.SerialNs, got.PipelinedNs, ref.SerialNs, ref.PipelinedNs)
 				}
 				for i := range datas {
@@ -91,7 +98,7 @@ func TestSchedulerIdentityAcrossModesAndWorkers(t *testing.T) {
 						t.Errorf("image %d stats differ: %+v vs %+v", i, g.Res.Stats, r.Res.Stats)
 					}
 					if !bytes.Equal(g.Res.Image.Pix, r.Res.Image.Pix) {
-						t.Errorf("image %d pixels differ between schedulers", i)
+						t.Errorf("image %d pixels differ from the serial reference", i)
 					}
 				}
 			})

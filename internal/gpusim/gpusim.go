@@ -30,26 +30,12 @@ const WarpSize = 32
 
 // Device is one simulated GPU.
 type Device struct {
-	Spec    *platform.Spec
-	workers int
+	Spec *platform.Spec
 }
 
 // New creates a device simulated with up to GOMAXPROCS host workers.
 func New(spec *platform.Spec) *Device {
-	return NewWithWorkers(spec, 0)
-}
-
-// NewWithWorkers creates a device simulated with up to n host workers
-// (n <= 0 means GOMAXPROCS). Schedulers running several decodes
-// concurrently pass a per-decode share of a host-wide budget, so N
-// in-flight images do not contend on N×GOMAXPROCS device goroutines.
-// The worker count affects host wall-clock only; kernel results and
-// virtual costs are identical for any n.
-func NewWithWorkers(spec *platform.Spec, n int) *Device {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return &Device{Spec: spec, workers: n}
+	return &Device{Spec: spec}
 }
 
 // Device buffers are the other large per-decode allocation besides the
@@ -162,7 +148,7 @@ func (d *Device) Run(k *Kernel) float64 {
 	if k.Groups <= 0 || k.ItemsPerGroup <= 0 {
 		return d.Spec.GPU.LaunchNs
 	}
-	nw := d.workers
+	nw := runtime.GOMAXPROCS(0)
 	if nw > k.Groups {
 		nw = k.Groups
 	}

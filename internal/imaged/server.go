@@ -1,8 +1,8 @@
 // Package imaged is the production image-decode edge service the
 // paper's gallery workload motivates (ROADMAP item 2): the
 // band-scheduler batch executor wrapped in the process-level robustness
-// an internet-facing decode tier needs. Where examples/webserver feeds
-// requests straight into the decoder, imaged adds:
+// an internet-facing decode tier needs. It is the repo's one HTTP
+// front end; around /decode, /batch and /transcode it adds:
 //
 //   - admission control and backpressure: a bounded budget of pending
 //     requests AND pending body bytes; past it, requests are shed with

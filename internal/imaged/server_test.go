@@ -163,9 +163,26 @@ func TestUnsupportedIs415CorruptIs422(t *testing.T) {
 	if rr.Code != http.StatusUnsupportedMediaType || !reply.Unsupported {
 		t.Errorf("12-bit JPEG: status %d unsupported %v, want 415 true", rr.Code, reply.Unsupported)
 	}
-	rr, reply = postDecode(t, h, "", data[:len(data)/2])
+	truncated := data[:len(data)/2]
+	rr, reply = postDecode(t, h, "", truncated)
 	if rr.Code != http.StatusUnprocessableEntity {
 		t.Errorf("truncated JPEG: status = %d, want 422 (reply %+v)", rr.Code, reply)
+	}
+
+	// The same parts inside /batch are decoded by the executor, so the
+	// 415 proves errors.Is(ErrUnsupported) survives the batch layer too.
+	rr, breply := postBatch(t, h, "", []namedPart{{"good", data}, {"twelve", twelveBit}, {"trunc", truncated}})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rr.Code, rr.Body.String())
+	}
+	if breply.OK != 1 || breply.Errors != 2 {
+		t.Errorf("batch summary ok=%d errors=%d, want 1/2", breply.OK, breply.Errors)
+	}
+	if it := breply.Items[1]; it.Status != http.StatusUnsupportedMediaType || !it.Unsupported {
+		t.Errorf("12-bit part: status %d unsupported %v, want 415 true", it.Status, it.Unsupported)
+	}
+	if it := breply.Items[2]; it.Status != http.StatusUnprocessableEntity || it.Unsupported {
+		t.Errorf("truncated part: status %d unsupported %v, want 422 false", it.Status, it.Unsupported)
 	}
 }
 
@@ -343,6 +360,39 @@ func TestSalvagedDecode(t *testing.T) {
 		// Corruption at an arbitrary offset may or may not be
 		// salvageable; both 200-salvaged and 422 are contract-clean.
 		t.Errorf("corrupt restart-interval stream: status %d, want 200-salvaged or 422", rr.Code)
+	}
+
+	// Truncation inside the entropy data of a restart-interval stream is
+	// always salvageable: as a /batch part it must come back 200 with a
+	// strict partial recovery, counted in the envelope.
+	hurt := data[:len(data)*3/4]
+	rr, breply := postBatch(t, s.Handler(), "", []namedPart{{"clean", data}, {"hurt", hurt}})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rr.Code, rr.Body.String())
+	}
+	if breply.OK != 2 || breply.Salvaged != 1 || breply.Errors != 0 {
+		t.Errorf("batch summary %+v, want ok=2 salvaged=1 errors=0", breply)
+	}
+	if it := breply.Items[0]; it.Salvaged {
+		t.Errorf("clean part reported salvaged: %+v", it)
+	}
+	it := breply.Items[1]
+	if it.Status != http.StatusOK || !it.Salvaged || it.SalvageError == "" {
+		t.Errorf("truncated part: %+v, want 200 salvaged with a salvage error", it)
+	}
+	if it.RecoveredMCUs <= 0 || it.RecoveredMCUs >= it.TotalMCUs {
+		t.Errorf("truncated part recovered %d of %d MCUs, want a strict partial recovery", it.RecoveredMCUs, it.TotalMCUs)
+	}
+
+	// The same stream on /decode (a fresh decode, not the cached one)
+	// also flags the salvage in a header.
+	rr, reply = postDecode(t, s.Handler(), "cache=bypass", hurt)
+	if rr.Code != http.StatusOK || rr.Header().Get("X-Hetjpeg-Salvaged") != "true" || !reply.Salvaged {
+		t.Errorf("truncated /decode: status %d header %q salvaged %v, want 200 true true",
+			rr.Code, rr.Header().Get("X-Hetjpeg-Salvaged"), reply.Salvaged)
+	}
+	if reply.RecoveredMCUs != it.RecoveredMCUs || reply.TotalMCUs != it.TotalMCUs {
+		t.Errorf("/decode recovered %d of %d MCUs, /batch %d of %d", reply.RecoveredMCUs, reply.TotalMCUs, it.RecoveredMCUs, it.TotalMCUs)
 	}
 }
 

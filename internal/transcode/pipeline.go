@@ -76,8 +76,8 @@ func (r *Rates) Calibrate() {
 }
 
 // Pipeline routes the decode stage of transcodes through a shared
-// batch executor — the work-stealing band scheduler (or the per-image
-// pool) decodes many in-flight inputs concurrently — and runs the
+// batch executor — the work-stealing band scheduler decodes many
+// in-flight inputs concurrently — and runs the
 // re-encode stage on the submitting goroutine. It is the batch mirror
 // of the one-shot Transcode and feeds the same Rates.
 type Pipeline struct {
