@@ -15,7 +15,7 @@ BENCH_OUT ?= BENCH_2.json
 BENCH_COUNT ?= 5
 BENCH_TIME ?= 1s
 # The single-image decode hot path tracked across PRs.
-BENCH_PATTERN ?= BenchmarkDecodeScalar$$|BenchmarkDecodeScalarSub|BenchmarkDecodeScalarSize|BenchmarkParallelPhaseScalar|BenchmarkEntropySequential$$|BenchmarkEntropyParallelRestart$$
+BENCH_PATTERN ?= BenchmarkDecodeScalar$$|BenchmarkDecodeScalarSub|BenchmarkDecodeScalarSize|BenchmarkParallelPhaseScalar|BenchmarkEntropySequential$$
 
 # The batch wall-clock trajectory: the mixed-size corpus through the
 # pipelined band scheduler.

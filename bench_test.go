@@ -644,28 +644,3 @@ func BenchmarkDecodeSteadyStateAllocs(b *testing.B) {
 		res.Release()
 	}
 }
-
-// Extension: parallel Huffman decoding across restart intervals lifts
-// the Amdahl ceiling of Figure 11. Reported: the new attainable speedup
-// bound if entropy decoding parallelized across 4 cores (vs 1).
-func BenchmarkExtension_RestartParallelAmdahl(b *testing.B) {
-	spec := platform.GTX680()
-	img := imagegen.Generate(imagegen.Scene{Seed: 88, Detail: 0.6}, 1600, 1200)
-	data, err := hetjpeg.Encode(img, hetjpeg.EncodeOptions{Quality: 85, Subsampling: jfif.Sub422, RestartInterval: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var bound1, bound4 float64
-	for i := 0; i < b.N; i++ {
-		simd, err := hetjpeg.Decode(data, hetjpeg.Options{Mode: core.ModeSIMD, Spec: spec, VirtualOnly: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bound1 = simd.TotalNs / simd.HuffNs
-		// With restart-parallel entropy decoding across the 4 CPU cores
-		// (0.85 parallel efficiency), the sequential floor shrinks.
-		bound4 = simd.TotalNs / (simd.HuffNs / (4 * 0.85))
-	}
-	b.ReportMetric(bound1, "maxSpeedup-1core")
-	b.ReportMetric(bound4, "maxSpeedup-4core")
-}

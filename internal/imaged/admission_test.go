@@ -2,10 +2,11 @@ package imaged
 
 // Table tests for the Retry-After pricing: the pure arithmetic behind
 // every 429 — pending admitted bytes converted through the calibrator's
-// bytes/MCU into MCUs, priced at the entropy + back-phase ns/MCU rates,
-// spread across the workers, rounded up to whole seconds and clamped to
-// [1s, 60s]. A cold (uncalibrated) server must answer 1s rather than
-// divide by zero or promise the moon.
+// bytes/MCU into MCUs, priced at the entropy + back-phase ns/MCU rates
+// (plus the encode rate for the transcode backlog), spread across the
+// workers, rounded up to whole seconds and clamped to [1s, 60s]. A cold
+// (uncalibrated) server must answer 1s rather than divide by zero or
+// promise the moon.
 
 import (
 	"testing"
@@ -13,6 +14,10 @@ import (
 	"hetjpeg"
 )
 
+// TestRetryAfterSeconds pins decode-only pricing: zero transcode
+// backlog. Each case also asserts the property that keeps /decode and
+// /transcode 429s consistent: with no encode work queued, the encode
+// rate does not change the answer.
 func TestRetryAfterSeconds(t *testing.T) {
 	calibrated := hetjpeg.BatchQueueStats{
 		EntropyNsPerMCU: 300_000,
@@ -104,17 +109,19 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := retryAfterSeconds(tc.pending, tc.st, tc.workers); got != tc.want {
-				t.Errorf("retryAfterSeconds(%d, %+v, %d) = %d, want %d",
-					tc.pending, tc.st, tc.workers, got, tc.want)
+			for _, encNs := range []float64{0, 500_000, 1e9} {
+				if got := retryAfterSecondsMixed(tc.pending, 0, tc.st, tc.workers, encNs); got != tc.want {
+					t.Errorf("retryAfterSecondsMixed(%d, 0, %+v, %d, %g) = %d, want %d",
+						tc.pending, tc.st, tc.workers, encNs, got, tc.want)
+				}
 			}
 		})
 	}
 }
 
 // TestRetryAfterSecondsMixed pins the transcode-aware pricing: the
-// decode term is unchanged from retryAfterSeconds, and bytes admitted
-// for /transcode additionally owe an encode pass at the learned encode
+// decode term is the decode-only price, and bytes admitted for
+// /transcode additionally owe an encode pass at the learned encode
 // ns/MCU. With no transcode backlog (or a cold encode rate) the mixed
 // estimate must equal the decode-only one.
 func TestRetryAfterSecondsMixed(t *testing.T) {
@@ -144,7 +151,7 @@ func TestRetryAfterSecondsMixed(t *testing.T) {
 			want:      1,
 		},
 		{
-			// Zero transcode backlog: identical to retryAfterSeconds
+			// Zero transcode backlog: identical to decode-only pricing
 			// ("bytes to MCUs to seconds" case above answers 3s).
 			name:      "no transcode backlog matches decode-only pricing",
 			pending:   2_000_000,
@@ -215,15 +222,5 @@ func TestRetryAfterSecondsMixed(t *testing.T) {
 					tc.pending, tc.transcode, tc.st, tc.workers, tc.encNs, got, tc.want)
 			}
 		})
-	}
-	// Agreement property: for any decode-only backlog the two pricers
-	// must answer identically — /decode and /transcode 429s stay
-	// consistent when no encode work is queued.
-	for _, pending := range []int64{0, 100, 1500, 2_000_000, 1 << 30} {
-		a := retryAfterSeconds(pending, calibrated, 2)
-		b := retryAfterSecondsMixed(pending, 0, calibrated, 2, 700_000)
-		if a != b {
-			t.Errorf("pending=%d: retryAfterSeconds=%d but mixed=%d with zero transcode backlog", pending, a, b)
-		}
 	}
 }

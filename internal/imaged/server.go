@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -556,28 +555,6 @@ func readJPEGBody(w http.ResponseWriter, r *http.Request, maxBody int64) (data [
 func (s *Server) retryAfterSec() int {
 	return retryAfterSecondsMixed(s.gate.pendingByteCount(), s.transBytes.Load(),
 		s.ex.QueueStats(), s.cfg.Workers, s.encRates.Max())
-}
-
-// retryAfterSeconds prices a 429's Retry-After from the scheduler's
-// calibrated rates: pending admitted bytes → MCUs (bytes/MCU EWMA) →
-// nanoseconds (entropy + back-phase ns/MCU, spread across the workers),
-// rounded up to whole seconds and clamped to [1s, 60s]. Uncalibrated
-// (cold) servers answer 1s.
-func retryAfterSeconds(pendingBytes int64, st hetjpeg.BatchQueueStats, workers int) int {
-	perMCU := st.EntropyNsPerMCU + st.BackNsPerMCU
-	if st.BytesPerMCU <= 0 || perMCU <= 0 {
-		return 1
-	}
-	mcus := float64(pendingBytes) / st.BytesPerMCU
-	ns := mcus * perMCU / float64(workers)
-	sec := int(math.Ceil(ns / 1e9))
-	if sec < 1 {
-		sec = 1
-	}
-	if sec > 60 {
-		sec = 60
-	}
-	return sec
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -185,13 +185,16 @@ func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(tr.Data)
 }
 
-// retryAfterSecondsMixed extends retryAfterSeconds with the transcode
-// backlog: every pending byte owes a decode, and the transcode subset
-// additionally owes a re-encode at the learned encode ns/MCU (both
-// backlogs mapped through the same input bytes/MCU calibration — the
-// output MCU count is unknown until each decode runs, so the input
-// geometry stands in for it). Same [1s, 60s] clamp; cold servers
-// answer 1s.
+// retryAfterSecondsMixed prices a 429's Retry-After from the
+// scheduler's calibrated rates. Every pending admitted byte owes a
+// decode: bytes → MCUs (bytes/MCU EWMA) → nanoseconds (entropy +
+// back-phase ns/MCU). The transcode subset additionally owes a
+// re-encode at the learned encode ns/MCU (both backlogs mapped through
+// the same input bytes/MCU calibration — the output MCU count is
+// unknown until each decode runs, so the input geometry stands in for
+// it). The total is spread across the workers, rounded up to whole
+// seconds and clamped to [1s, 60s]. Uncalibrated (cold) servers answer
+// 1s.
 func retryAfterSecondsMixed(pendingBytes, transcodeBytes int64, st hetjpeg.BatchQueueStats, workers int, encNsPerMCU float64) int {
 	if st.BytesPerMCU <= 0 {
 		return 1

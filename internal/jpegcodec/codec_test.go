@@ -2,6 +2,7 @@ package jpegcodec
 
 import (
 	"bytes"
+	"fmt"
 	"image"
 	stdjpeg "image/jpeg"
 	"math"
@@ -155,30 +156,92 @@ func TestDecodeStdlibEncoderOutput(t *testing.T) {
 	}
 }
 
+// TestRestartIntervals: a restart-interval stream decodes to exactly
+// the pixels of the same image encoded without restarts. Intervals of 1,
+// 3 and 7 MCUs split MCU rows, 100 spans several; every subsampling is
+// covered, plus one 1/8-scale row whose frame keeps DC-only coefficient
+// storage. Stdlib image/jpeg must accept every restart stream too.
 func TestRestartIntervals(t *testing.T) {
-	img := makeTestImage(160, 120, 5)
-	plain, err := Encode(img, EncodeOptions{Quality: 80, Subsampling: jfif.Sub422})
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		sub   jfif.Subsampling
+		ri    int
+		scale Scale
 	}
-	rst, err := Encode(img, EncodeOptions{Quality: 80, Subsampling: jfif.Sub422, RestartInterval: 3})
-	if err != nil {
-		t.Fatal(err)
+	var rows []row
+	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub422, jfif.Sub420} {
+		for _, ri := range []int{1, 3, 7, 100} {
+			rows = append(rows, row{sub, ri, Scale1})
+		}
 	}
-	a, err := DecodeScalar(plain)
-	if err != nil {
-		t.Fatal(err)
+	rows = append(rows, row{jfif.Sub420, 4, Scale8})
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%v_ri%d_scale%d", r.sub, r.ri, r.scale.Denominator()), func(t *testing.T) {
+			plain := restartFixture(t, 180, 140, 0, r.sub)
+			rst := restartFixture(t, 180, 140, r.ri, r.sub)
+			want, err := DecodeScalarScaled(plain, r.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeScalarScaled(rst, r.scale)
+			if err != nil {
+				t.Fatalf("decode with restarts: %v", err)
+			}
+			if !bytes.Equal(want.Pix, got.Pix) {
+				t.Error("restart-interval stream decodes differently")
+			}
+			want.Release()
+			got.Release()
+			if _, err := stdjpeg.Decode(bytes.NewReader(rst)); err != nil {
+				t.Fatalf("stdlib rejects restart stream: %v", err)
+			}
+		})
 	}
-	b, err := DecodeScalar(rst)
-	if err != nil {
-		t.Fatalf("decode with restarts: %v", err)
-	}
-	if !bytes.Equal(a.Pix, b.Pix) {
-		t.Error("restart-interval stream decodes differently")
-	}
-	// stdlib agrees too.
-	if _, err := stdjpeg.Decode(bytes.NewReader(rst)); err != nil {
-		t.Fatalf("stdlib rejects restart stream: %v", err)
+}
+
+// TestParallelRestartMatchesSequential: on restart-interval streams the
+// entropy decoder stores exactly the coefficients of the same image
+// encoded without restarts, accounts one bit count per MCU row, and the
+// intra-image worker pool then renders the pixels of the sequential
+// fused decode.
+func TestParallelRestartMatchesSequential(t *testing.T) {
+	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub422, jfif.Sub420} {
+		fPlain, edPlain, err := PrepareDecode(restartFixture(t, 180, 140, 0, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := edPlain.DecodeAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ri := range []int{1, 3, 7, 100} {
+			data := restartFixture(t, 180, 140, ri, sub)
+			want, err := DecodeScalar(data)
+			if err != nil {
+				t.Fatalf("%v ri=%d: %v", sub, ri, err)
+			}
+			f, ed, err := PrepareDecode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ed.DecodeAll(); err != nil {
+				t.Fatalf("%v ri=%d: %v", sub, ri, err)
+			}
+			for c := range fPlain.Coeff {
+				for i := range fPlain.Coeff[c] {
+					if fPlain.Coeff[c][i] != f.Coeff[c][i] {
+						t.Fatalf("%v ri=%d: coefficient %d/%d differs", sub, ri, c, i)
+					}
+				}
+			}
+			if len(ed.BitsPerRow) != f.MCURows {
+				t.Fatalf("%v ri=%d: BitsPerRow has %d entries want %d", sub, ri, len(ed.BitsPerRow), f.MCURows)
+			}
+			got := NewRGBImage(f.Img.Width, f.Img.Height)
+			ParallelPhaseScalarWorkers(f, 0, f.MCURows, got, 8)
+			if !bytes.Equal(want.Pix, got.Pix) {
+				t.Errorf("%v ri=%d: worker-pool pixels differ from sequential decode", sub, ri)
+			}
+			want.Release()
+		}
 	}
 }
 

@@ -328,7 +328,7 @@ func PrepareDecodeScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, err
 			return nil, nil, fmt.Errorf("jpegcodec: missing quant table %d", c.QuantSel)
 		}
 	}
-	f, err := NewFrameScaled(im, scale)
+	f, err := newFrame(im, true, scale)
 	if err != nil {
 		return nil, nil, err
 	}

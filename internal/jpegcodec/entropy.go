@@ -95,12 +95,12 @@ func newEntropyDecoder(f *Frame, discard bool) *EntropyDecoder {
 	return d
 }
 
-// EnableSalvage switches the decoder into salvage mode: entropy errors
+// enableSalvage switches the decoder into salvage mode: entropy errors
 // resynchronize at the next restart marker and accumulate into rep
 // instead of aborting. Must be called before the first DecodeRows. On a
 // clean stream the decode path is bit-for-bit the strict one and rep
 // stays unimpaired.
-func (d *EntropyDecoder) EnableSalvage(rep *SalvageReport) {
+func (d *EntropyDecoder) enableSalvage(rep *SalvageReport) {
 	d.salvage = true
 	d.report = rep
 	if d.prog != nil {
@@ -109,7 +109,7 @@ func (d *EntropyDecoder) EnableSalvage(rep *SalvageReport) {
 	}
 }
 
-// SalvageReport returns the report EnableSalvage installed (nil in
+// SalvageReport returns the report enableSalvage installed (nil in
 // strict mode).
 func (d *EntropyDecoder) SalvageReport() *SalvageReport { return d.report }
 

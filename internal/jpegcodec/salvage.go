@@ -151,19 +151,15 @@ func (r *SalvageReport) DamagedMCUs() int {
 	return s
 }
 
-// PrepareDecodeSalvage is PrepareDecode with salvage enabled: the
-// returned EntropyDecoder absorbs entropy errors by restart-marker
-// resynchronization instead of failing, and its SalvageReport()
-// describes what was lost. Errors that leave nothing decodable (no
-// frame header, missing tables, unsupported features) still fail.
-func PrepareDecodeSalvage(data []byte) (*Frame, *EntropyDecoder, error) {
-	return PrepareDecodeSalvageScaled(data, Scale1)
-}
-
-// PrepareDecodeSalvageScaled is PrepareDecodeSalvage at a decode scale.
-// A structurally damaged container (truncated mid-scan, corrupt segment
-// length after the first decodable scan) yields a decoder over the
-// salvageable prefix with the parse error pre-recorded in its report.
+// PrepareDecodeSalvageScaled is PrepareDecodeScaled with salvage
+// enabled: the returned EntropyDecoder absorbs entropy errors by
+// restart-marker resynchronization instead of failing, and its
+// SalvageReport() describes what was lost. A structurally damaged
+// container (truncated mid-scan, corrupt segment length after the first
+// decodable scan) yields a decoder over the salvageable prefix with the
+// parse error pre-recorded in its report. Errors that leave nothing
+// decodable (no frame header, missing tables, unsupported features)
+// still fail.
 func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecoder, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, nil, err
@@ -177,7 +173,7 @@ func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecod
 			return nil, nil, fmt.Errorf("jpegcodec: missing quant table %d", c.QuantSel)
 		}
 	}
-	f, err := NewFrameScaled(im, scale)
+	f, err := newFrame(im, true, scale)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -186,7 +182,7 @@ func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecod
 	if perr != nil {
 		rep.record(-1, perr)
 	}
-	ed.EnableSalvage(rep)
+	ed.enableSalvage(rep)
 	return f, ed, nil
 }
 
@@ -198,7 +194,7 @@ func PrepareDecodeSalvageScaled(data []byte, scale Scale) (*Frame, *EntropyDecod
 // DecodeScalar. A stream with nothing salvageable returns a plain
 // error.
 func DecodeScalarSalvage(data []byte) (*RGBImage, *SalvageReport, error) {
-	f, ed, err := PrepareDecodeSalvage(data)
+	f, ed, err := PrepareDecodeSalvageScaled(data, Scale1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -95,3 +95,42 @@ func BenchmarkParallelPhaseScalar(b *testing.B) {
 		ParallelPhaseScalar(f, 0, f.MCURows, out)
 	}
 }
+
+// restartFixture encodes the shared test image with restart interval ri
+// (0 for none).
+func restartFixture(t testing.TB, w, h, ri int, sub jfif.Subsampling) []byte {
+	t.Helper()
+	img := makeTestImage(w, h, 19)
+	data, err := Encode(img, EncodeOptions{Quality: 85, Subsampling: sub, RestartInterval: ri})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func zeroCoeff(f *Frame) {
+	for c := range f.Coeff {
+		for i := range f.Coeff[c] {
+			f.Coeff[c][i] = 0
+		}
+	}
+}
+
+// BenchmarkEntropySequential times the entropy stage alone on a
+// restart-interval stream.
+func BenchmarkEntropySequential(b *testing.B) {
+	data := restartFixture(b, 1024, 1024, 16, jfif.Sub422)
+	f, _, err := PrepareDecode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zeroCoeff(f)
+		ed := NewEntropyDecoder(f)
+		if err := ed.DecodeAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

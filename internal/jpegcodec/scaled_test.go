@@ -311,46 +311,6 @@ func TestScaledWorkerIdentity(t *testing.T) {
 	}
 }
 
-// TestScaledRestartParallelEntropy asserts the restart-parallel entropy
-// decoder fills the DC-only coefficient buffer identically to the
-// sequential decoder.
-func TestScaledRestartParallelEntropy(t *testing.T) {
-	data := encodeFixture(t, 96, 80, jfif.Sub420, 9, func(eo *EncodeOptions) { eo.RestartInterval = 4 })
-	fSeq, ed, err := PrepareDecodeScaled(data, Scale8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ed.DecodeAll(); err != nil {
-		t.Fatal(err)
-	}
-	fPar, _, err := PrepareDecodeScaled(data, Scale8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeAllParallelRestart(fPar, 4); err != nil {
-		t.Fatal(err)
-	}
-	for c := range fSeq.Coeff {
-		if !int32SlicesEqual(fSeq.Coeff[c], fPar.Coeff[c]) {
-			t.Fatalf("component %d: parallel restart DC coefficients differ", c)
-		}
-	}
-	fSeq.Release()
-	fPar.Release()
-}
-
-func int32SlicesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestScale8ProgressiveSkipsACScans pins the DC-only scan-skip: a
 // progressive 1/8-scale decode reads none of the AC scans' entropy
 // bits (its bit accounting covers only the DC scans), while its output

@@ -97,48 +97,6 @@ func TestNZRecordsSparsity(t *testing.T) {
 	}
 }
 
-// TestNZSurvivesParallelRestart is the regression test that the
-// restart-segment parallel entropy decoder fills the same per-block
-// sparsity records as the sequential decoder.
-func TestNZSurvivesParallelRestart(t *testing.T) {
-	for _, sub := range []jfif.Subsampling{jfif.Sub444, jfif.Sub420} {
-		data := restartFixture(t, 200, 152, 5, sub)
-
-		fSeq, edSeq, err := PrepareDecode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := edSeq.DecodeAll(); err != nil {
-			t.Fatal(err)
-		}
-		fPar, _, err := PrepareDecode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeAllParallelRestart(fPar, 8); err != nil {
-			t.Fatal(err)
-		}
-		for c := range fSeq.NZ {
-			for i := range fSeq.NZ[c] {
-				if fSeq.NZ[c][i] != fPar.NZ[c][i] {
-					t.Fatalf("%v component %d block %d: sequential NZ %d != parallel NZ %d",
-						sub, c, i, fSeq.NZ[c][i], fPar.NZ[c][i])
-				}
-			}
-		}
-		// And the parallel-restart frame must render identically.
-		outSeq := NewRGBImage(fSeq.Img.Width, fSeq.Img.Height)
-		ParallelPhaseScalar(fSeq, 0, fSeq.MCURows, outSeq)
-		outPar := NewRGBImage(fPar.Img.Width, fPar.Img.Height)
-		ParallelPhaseScalar(fPar, 0, fPar.MCURows, outPar)
-		for i := range outSeq.Pix {
-			if outSeq.Pix[i] != outPar.Pix[i] {
-				t.Fatalf("%v: pixel byte %d differs after parallel-restart decode", sub, i)
-			}
-		}
-	}
-}
-
 // TestParallelPhaseWorkersIdentical: the intra-image worker pool must be
 // byte-identical to the sequential fused pipeline for every worker
 // count, subsampling and awkward geometry (seams at 4:2:0 boundaries).
